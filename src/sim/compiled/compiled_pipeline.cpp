@@ -54,16 +54,22 @@ bool semantically_equal(const SwitchOutput& a, const SwitchOutput& b) {
 
 CompiledPipeline::CompiledPipeline(DataPlane& dp, CompileSeed seed)
     : dp_(&dp), seed_(std::move(seed)) {
-  recompile();
+  recompile(&RecompileCauses::initial);
 }
 
 bool CompiledPipeline::recompile() {
+  return recompile(&RecompileCauses::request);
+}
+
+bool CompiledPipeline::recompile(std::uint64_t RecompileCauses::*cause) {
+  ++(stats_.recompile_causes.*cause);
   attempted_ = true;
   attempted_epoch_ = dp_->epoch();
   std::string err;
   compiled_ok_ = compile(&err);
   if (compiled_ok_) {
     ++stats_.recompiles;
+    ++generation_;
     compile_error_.clear();
   } else {
     ++stats_.failed_compiles;
@@ -91,23 +97,67 @@ void CompiledPipeline::quarantine() {
 
 bool CompiledPipeline::ensure_valid() {
   if (compiled_ok_) {
-    if (compiled_epoch_ == dp_->epoch()) {
-      bool stale = false;
-      for (const auto& [rt, rev] : revisions_) {
-        if (rt->revision() != rev) {
-          stale = true;
-          break;
-        }
-      }
-      if (!stale) return true;
+    if (compiled_epoch_ != dp_->epoch()) {
+      return recompile(&RecompileCauses::epoch);
     }
-    return recompile();
+    for (const TableRev& tr : revisions_) {
+      if (tr.rt->revision() != tr.rev) return apply_deltas();
+    }
+    return true;
   }
+  // Only quarantine() clears the attempt latch.
+  if (!attempted_) return recompile(&RecompileCauses::quarantine);
   // A failed compile (uncompilable construct) rarely heals on rule
   // churn alone; retry only when the generation moves, and stay on the
   // always-correct interpreter otherwise.
-  if (attempted_ && attempted_epoch_ == dp_->epoch()) return false;
-  return recompile();
+  if (attempted_epoch_ == dp_->epoch()) return false;
+  return recompile(&RecompileCauses::epoch);
+}
+
+bool CompiledPipeline::apply_deltas() {
+  std::string err;
+  for (TableRev& tr : revisions_) {
+    const std::uint64_t now = tr.rt->revision();
+    if (now == tr.rev) continue;
+    ControlC& cc = controls_[tr.control];
+    TableC& t = cc.tables[tr.table];
+    bool ok = true;
+    if (t.keyless) {
+      // Nothing lowered from entries: a keyless table always runs its
+      // default action.
+    } else if (t.is_tcam || !tr.rt->log_covers(tr.rev)) {
+      // TCAM order is global to the table, so a ternary/LPM write
+      // re-lowers the whole entry list, as does a gap in the log.
+      if (!t.is_tcam) ++stats_.log_gaps;
+      ++stats_.table_relowers;
+      ok = lower_entries(*cc.block, t, &err);
+    } else {
+      for (std::uint64_t rev = tr.rev + 1; ok && rev <= now; ++rev) {
+        const RuntimeTable::Change& change = tr.rt->change(rev);
+        if (change.kind == RuntimeTable::Change::Kind::kTable) {
+          ++stats_.table_relowers;
+          ok = lower_entries(*cc.block, t, &err);
+          break;
+        }
+        ok = lower_exact_key(*cc.block, t, change.key, &err);
+      }
+    }
+    // Let the full path give the authoritative verdict (and error).
+    if (!ok) return recompile(&RecompileCauses::delta_error);
+    tr.rev = now;
+  }
+  if (ops_.mostly_dead() || vm_.mostly_dead() || hash_srcs_.mostly_dead()) {
+    return recompile(&RecompileCauses::compaction);
+  }
+  size_local_scratch();  // a newly lowered action may name a new local
+  // Certificates were pinned to the old rules fingerprint: triage them
+  // exactly as a full compile would.
+  spec_classes_.clear();
+  spec_buckets_.clear();
+  spec_ = nullptr;
+  compile_specializations();
+  ++generation_;
+  return true;
 }
 
 // --- compilation -----------------------------------------------------
@@ -211,8 +261,12 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
     return true;
   };
 
-  out.begin = static_cast<std::uint32_t>(ops_.size());
-  for (const p4ir::Primitive& p : action->primitives) {
+  // A failure below leaves a partly written slice behind; the full
+  // compile that follows every failure resets the arenas anyway.
+  out.begin = ops_.alloc(action->primitives.size());
+  out.count = static_cast<std::uint32_t>(action->primitives.size());
+  for (std::uint32_t i = 0; i < out.count; ++i) {
+    const p4ir::Primitive& p = action->primitives[i];
     OpC op;
     op.op = p.op;
     switch (p.op) {
@@ -239,15 +293,14 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       case p4ir::PrimitiveOp::kHash: {
         op.dst = resolve_field(p.dst);
-        op.hash_begin = static_cast<std::uint32_t>(hash_srcs_.size());
-        for (const std::string& src : p.srcs) {
-          HashSrc hs;
-          hs.ref = resolve_field(src);
-          const auto bits = dp_->program().field_bits(src).value_or(32);
-          hs.bytes = static_cast<std::uint8_t>((bits + 7) / 8);
-          hash_srcs_.push_back(hs);
-        }
+        op.hash_begin = hash_srcs_.alloc(p.srcs.size());
         op.hash_count = static_cast<std::uint32_t>(p.srcs.size());
+        for (std::uint32_t j = 0; j < op.hash_count; ++j) {
+          HashSrc& hs = hash_srcs_[op.hash_begin + j];
+          hs.ref = resolve_field(p.srcs[j]);
+          const auto bits = dp_->program().field_bits(p.srcs[j]).value_or(32);
+          hs.bytes = static_cast<std::uint8_t>((bits + 7) / 8);
+        }
         break;
       }
       case p4ir::PrimitiveOp::kSetContext: {
@@ -289,9 +342,87 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
         break;
       }
     }
-    ops_.push_back(op);
+    ops_[out.begin + i] = op;
   }
-  out.count = static_cast<std::uint32_t>(ops_.size()) - out.begin;
+  return true;
+}
+
+void CompiledPipeline::release_action(ActionRef ref) {
+  for (std::uint32_t i = 0; i < ref.count; ++i) {
+    const OpC& op = ops_[ref.begin + i];
+    if (op.op == p4ir::PrimitiveOp::kHash) {
+      hash_srcs_.release(op.hash_begin, op.hash_count);
+    }
+  }
+  ops_.release(ref.begin, ref.count);
+}
+
+bool CompiledPipeline::lower_entries(const p4ir::ControlBlock& control,
+                                     TableC& t, std::string* err) {
+  const RuntimeTable& rt = *t.rt;
+  if (t.is_tcam) {
+    for (const TernEntryC& te : t.tern) {
+      vm_.release(te.vm_begin, te.vm_count);
+      release_action(te.action);
+    }
+    t.tern.clear();
+    for (const auto& entry : rt.ternary_entries()) {
+      if (!rt.ternary_window(entry.handle).contains(compiled_epoch_)) {
+        continue;
+      }
+      TernEntryC te;
+      te.vm_begin = vm_.alloc(entry.key.size());
+      te.vm_count = static_cast<std::uint32_t>(entry.key.size());
+      for (std::uint32_t i = 0; i < te.vm_count; ++i) {
+        const net::TernaryField& tf = entry.key[i];
+        vm_[te.vm_begin + i] = {tf.value & tf.mask, tf.mask};
+      }
+      if (!compile_action(control, entry.value, te.action, err)) return false;
+      t.tern.push_back(te);
+    }
+    return true;
+  }
+  for (const auto& [key, action] : t.exact) release_action(action);
+  t.exact.clear();
+  for (const RuntimeTable::ExactEntry& entry : rt.exact_entries()) {
+    if (!entry.window.contains(compiled_epoch_)) continue;
+    if (entry.key.size() != t.key_count) {
+      *err = "installed key arity mismatch in table '" + rt.def().name + "'";
+      return false;
+    }
+    ExactKey k;
+    k.n = static_cast<std::uint8_t>(entry.key.size());
+    std::copy(entry.key.begin(), entry.key.end(), k.v);
+    ActionRef ar;
+    if (!compile_action(control, entry.action, ar, err)) return false;
+    t.exact[k] = ar;
+  }
+  return true;
+}
+
+bool CompiledPipeline::lower_exact_key(const p4ir::ControlBlock& control,
+                                       TableC& t,
+                                       const std::vector<std::uint64_t>& key,
+                                       std::string* err) {
+  ++stats_.entry_deltas;
+  ExactKey k;
+  k.n = static_cast<std::uint8_t>(key.size());  // add_exact checked arity
+  std::copy(key.begin(), key.end(), k.v);
+  auto it = t.exact.find(k);
+  if (it != t.exact.end()) release_action(it->second);
+  const RuntimeTable::ExactEntry* entry =
+      t.rt->find_exact(key, compiled_epoch_);
+  if (entry == nullptr) {
+    if (it != t.exact.end()) t.exact.erase(it);
+    return true;
+  }
+  ActionRef ar;
+  if (!compile_action(control, entry->action, ar, err)) return false;
+  if (it != t.exact.end()) {
+    it->second = ar;
+  } else {
+    t.exact.emplace(k, ar);
+  }
   return true;
 }
 
@@ -303,6 +434,7 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
     return true;
   }
   cc.present = true;
+  cc.block = cb;
 
   // Dense control-local indices for applied tables and branches.
   std::unordered_map<std::string, std::uint32_t> tidx;
@@ -360,37 +492,7 @@ bool CompiledPipeline::compile_control(const std::string& control_name,
                         t.default_action, err)) {
       return false;
     }
-    if (t.is_tcam) {
-      for (const auto& entry : rt->ternary_entries()) {
-        if (!rt->ternary_window(entry.handle).contains(compiled_epoch_)) {
-          continue;
-        }
-        TernEntryC te;
-        te.vm_begin = static_cast<std::uint32_t>(vm_.size());
-        te.vm_count = static_cast<std::uint32_t>(entry.key.size());
-        for (const net::TernaryField& tf : entry.key) {
-          vm_.push_back({tf.value & tf.mask, tf.mask});
-        }
-        if (!compile_action(*cb, entry.value, te.action, err)) return false;
-        t.tern.push_back(te);
-      }
-    } else if (!t.keyless) {
-      for (const RuntimeTable::ExactEntry& entry : rt->exact_entries()) {
-        if (!entry.window.contains(compiled_epoch_)) continue;
-        if (entry.key.size() != t.key_count) {
-          *err = "installed key arity mismatch in table '" + tname + "'";
-          return false;
-        }
-        ExactKey k;
-        k.n = static_cast<std::uint8_t>(entry.key.size());
-        for (std::size_t i = 0; i < entry.key.size(); ++i) {
-          k.v[i] = entry.key[i];
-        }
-        ActionRef ar;
-        if (!compile_action(*cb, entry.action, ar, err)) return false;
-        t.exact[k] = ar;
-      }
-    }
+    if (!t.keyless && !lower_entries(*cb, t, err)) return false;
   }
   return true;
 }
@@ -508,9 +610,10 @@ bool CompiledPipeline::compile(std::string* err) {
   }
 
   // Invalidation snapshot: every table the compiled program can read.
-  for (const ControlC& cc : controls_) {
-    for (const TableC& t : cc.tables) {
-      revisions_.push_back({t.rt, t.rt->revision()});
+  for (std::uint32_t c = 0; c < controls_.size(); ++c) {
+    for (std::uint32_t i = 0; i < controls_[c].tables.size(); ++i) {
+      const RuntimeTable* rt = controls_[c].tables[i].rt;
+      revisions_.push_back({rt, rt->revision(), c, i});
     }
   }
 
@@ -523,8 +626,9 @@ bool CompiledPipeline::compile(std::string* err) {
     max_branches = std::max(max_branches, std::size_t{cc.branch_count});
   }
   hdr_off_.assign(header_index_.size(), 0);
-  local_val_.assign(std::max<std::size_t>(local_index_.size(), 1), 0);
-  local_stamp_.assign(local_val_.size(), 0);
+  local_val_.clear();
+  local_stamp_.clear();
+  size_local_scratch();
   hit_val_.assign(std::max<std::size_t>(max_tables, 1), 0);
   hit_stamp_.assign(hit_val_.size(), 0);
   branch_checked_stamp_.assign(std::max<std::size_t>(max_branches, 1), 0);
@@ -547,6 +651,13 @@ bool CompiledPipeline::compile(std::string* err) {
   }
   compile_specializations();
   return true;
+}
+
+void CompiledPipeline::size_local_scratch() {
+  const std::size_t n = std::max<std::size_t>(local_index_.size(), 1);
+  if (local_val_.size() >= n) return;
+  local_val_.resize(n, 0);
+  local_stamp_.resize(n, 0);  // unset until written in a pass
 }
 
 void CompiledPipeline::compile_specializations() {

@@ -27,10 +27,21 @@
 //
 // Invalidation contract: compilation snapshots every lowered
 // RuntimeTable's revision() and the dataplane's epoch. Before each
-// packet the snapshot is revalidated; any movement — a Transaction
-// commit, a LiveUpdate flip, a ChainRepair swap, LB session learning —
-// triggers a synchronous recompile (or, if that fails, fallback). A
-// retired generation is therefore never served from stale traces.
+// packet the snapshot is revalidated (one revision compare per table);
+// what has moved decides how much is re-lowered:
+//   - one exact entry: a table write (LB session learning, an eviction,
+//     an exact install/remove/retire in a Transaction) is read back
+//     from the table's change log and only the touched keys are
+//     re-lowered in place;
+//   - one table: a ternary/LPM write, a gc or clear, or a table whose
+//     change log no longer reaches back to the snapshot re-lowers that
+//     table's entry list;
+//   - everything: an epoch move (LiveUpdate flip, ChainRepair swap),
+//     quarantine(), recompile(), a retry after a failed compile, a
+//     delta that cannot be lowered, and arena compaction re-lower the
+//     whole program.
+// Either way the next packet sees exactly the installed rules, so a
+// retired generation is never served from stale traces.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +79,31 @@ struct CompileSeed {
   std::vector<TraceCertificate> certificates;
 };
 
+/// Why the whole program was re-lowered (each full compile attempt,
+/// successful or not, counts under exactly one cause).
+struct RecompileCauses {
+  std::uint64_t initial = 0;     ///< construction
+  std::uint64_t epoch = 0;       ///< the chain generation moved
+  std::uint64_t quarantine = 0;  ///< first compile after quarantine()
+  std::uint64_t compaction = 0;  ///< dead arena slots outnumbered live
+  std::uint64_t request = 0;     ///< an explicit recompile() call
+  std::uint64_t delta_error = 0; ///< a delta could not be lowered
+};
+
 /// Engine observability (perf half — never part of replay counters).
 struct CompiledStats {
   std::uint64_t compiled_packets = 0;  ///< ran fully on the fast path
   std::uint64_t fallback_packets = 0;  ///< delegated to the interpreter
-  std::uint64_t recompiles = 0;        ///< successful (re)compilations
+  std::uint64_t recompiles = 0;  ///< successful full re-lowers
   std::uint64_t failed_compiles = 0;
+  RecompileCauses recompile_causes;
+  /// Exact entries re-lowered in place from a table's change log.
+  std::uint64_t entry_deltas = 0;
+  /// Single tables re-lowered (ternary/LPM write, gc/clear, log gap).
+  std::uint64_t table_relowers = 0;
+  /// Of those, exact tables whose change log no longer reached back to
+  /// the snapshot revision (more than kChangeLogCapacity writes).
+  std::uint64_t log_gaps = 0;
   std::uint64_t shape_escapes = 0;        ///< parse shape not compiled
   std::uint64_t reinjection_escapes = 0;  ///< from_cpu / stamped packets
   /// Trace specialization (certificate consumption, DESIGN.md §14).
@@ -113,13 +143,13 @@ class CompiledPipeline {
   /// Why not, when it didn't.
   const std::string& compile_error() const { return compile_error_; }
 
-  /// Count of successful compiles so far — the invalidation property
-  /// tests assert that a committed update moved this (recompiled) or
-  /// cleared compiled_ok() (fell back).
-  std::uint64_t generation() const { return stats_.recompiles; }
+  /// Moves on every change to the compiled form: each successful full
+  /// compile and each applied delta — the invalidation property tests
+  /// assert that a committed update moved this (re-lowered) or cleared
+  /// compiled_ok() (fell back).
+  std::uint64_t generation() const { return generation_; }
 
-  /// Force a recompile now (e.g. after a known rule burst); returns
-  /// compiled_ok().
+  /// Force a full recompile now; returns compiled_ok().
   bool recompile();
 
   /// State-integrity quarantine (DESIGN.md §16): the auditor detected
@@ -132,6 +162,10 @@ class CompiledPipeline {
   void quarantine();
 
   const CompiledStats& stats() const { return stats_; }
+
+  /// Slots in the action-op arena, live and dead: deltas recycle dead
+  /// slots, so this stays bounded under learn/evict churn.
+  std::size_t op_arena_size() const { return ops_.items.size(); }
 
   DataPlane& dataplane() { return *dp_; }
 
@@ -254,6 +288,7 @@ class CompiledPipeline {
 
   struct ControlC {
     bool present = false;
+    const p4ir::ControlBlock* block = nullptr;
     std::vector<EntryC> entries;
     std::vector<TableC> tables;
     std::uint32_t branch_count = 0;
@@ -334,13 +369,72 @@ class CompiledPipeline {
     std::vector<SpecStepC> steps;
   };
 
+  /// A flat arena whose dead slices are recycled by length, so entry
+  /// deltas reuse the slots of the entries they replace instead of
+  /// growing the arena for as long as a run lasts.
+  template <class T>
+  struct Arena {
+    std::vector<T> items;
+    std::vector<std::vector<std::uint32_t>> free_slices;  // [length] -> begins
+    std::size_t dead = 0;
+
+    std::uint32_t alloc(std::size_t n) {
+      if (n < free_slices.size() && !free_slices[n].empty()) {
+        const std::uint32_t begin = free_slices[n].back();
+        free_slices[n].pop_back();
+        dead -= n;
+        return begin;
+      }
+      const auto begin = static_cast<std::uint32_t>(items.size());
+      items.resize(items.size() + n);
+      return begin;
+    }
+    void release(std::uint32_t begin, std::size_t n) {
+      if (n == 0) return;
+      if (free_slices.size() <= n) free_slices.resize(n + 1);
+      free_slices[n].push_back(begin);
+      dead += n;
+    }
+    bool mostly_dead() const { return dead > items.size() - dead; }
+    void clear() {
+      items.clear();
+      free_slices.clear();
+      dead = 0;
+    }
+    T& operator[](std::size_t i) { return items[i]; }
+  };
+
+  /// One lowered table's snapshot revision (revisions_ entry).
+  struct TableRev {
+    const RuntimeTable* rt = nullptr;
+    std::uint64_t rev = 0;
+    std::uint32_t control = 0;  // index into controls_
+    std::uint32_t table = 0;    // index into that control's tables
+  };
+
   // --- compilation ---
+  /// Full re-lower, counted under `cause`.
+  bool recompile(std::uint64_t RecompileCauses::*cause);
   bool compile(std::string* err);
   bool compile_control(const std::string& control_name, ControlC& cc,
                        std::string* err);
   bool compile_action(const p4ir::ControlBlock& control,
                       const ActionCall& call, ActionRef& out,
                       std::string* err);
+  /// Lower a table's installed entries visible at compiled_epoch_,
+  /// releasing whatever it had lowered before.
+  bool lower_entries(const p4ir::ControlBlock& control, TableC& t,
+                     std::string* err);
+  /// Re-lower the versions of one exact key.
+  bool lower_exact_key(const p4ir::ControlBlock& control, TableC& t,
+                       const std::vector<std::uint64_t>& key,
+                       std::string* err);
+  void release_action(ActionRef ref);
+  /// Catch the compiled form up with drifted table revisions, entry by
+  /// entry or table by table; false when it had to fall back to a full
+  /// recompile that failed.
+  bool apply_deltas();
+  void size_local_scratch();
   FieldRefC resolve_field(const std::string& dotted);
   FieldRefC resolve_header_field(const std::string& dotted) const;
   void mark_parse_selectors();
@@ -385,7 +479,8 @@ class CompiledPipeline {
   std::uint32_t compiled_epoch_ = 0;
   std::uint32_t attempted_epoch_ = 0;
   bool attempted_ = false;
-  std::vector<std::pair<const RuntimeTable*, std::uint64_t>> revisions_;
+  std::vector<TableRev> revisions_;
+  std::uint64_t generation_ = 0;
 
   // Compiled program.
   std::vector<ControlC> controls_;  // [pipeline * 2 + (kind == egress)]
@@ -394,11 +489,11 @@ class CompiledPipeline {
   std::vector<ParseEdgeC> parse_edges_;
   std::uint32_t parse_start_ = 0;
   bool parser_empty_ = true;
-  std::vector<OpC> ops_;
-  std::vector<HashSrc> hash_srcs_;
+  Arena<OpC> ops_;
+  Arena<HashSrc> hash_srcs_;
   std::vector<FieldRefC> key_refs_;
   std::vector<std::uint32_t> guard_tables_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> vm_;  // value, mask
+  Arena<std::pair<std::uint64_t, std::uint64_t>> vm_;  // value, mask
   std::unordered_set<std::uint64_t> shapes_;
   std::unordered_map<std::string, std::uint16_t> header_index_;
   std::unordered_map<std::string, std::uint16_t> local_index_;

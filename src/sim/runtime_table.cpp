@@ -25,6 +25,31 @@ RuntimeTable::RuntimeTable(const p4ir::Table& def) : def_(&def) {
   }
 }
 
+RuntimeTable::Change& RuntimeTable::ChangeLog::record(Change::Kind kind) {
+  if (ring.empty()) ring.resize(kChangeLogCapacity);
+  ++revision;
+  Change& c = ring[revision % kChangeLogCapacity];
+  c.kind = kind;
+  return c;
+}
+
+void RuntimeTable::log_exact(const std::vector<std::uint64_t>& key) {
+  log_.record(Change::Kind::kExact).key = key;  // reuses the slot's buffer
+}
+
+void RuntimeTable::log_ternary(std::size_t handle) {
+  log_.record(Change::Kind::kTernary).handle = handle;
+}
+
+bool RuntimeTable::log_covers(std::uint64_t since) const {
+  return log_.floor <= since && since <= log_.revision &&
+         log_.revision - since <= kChangeLogCapacity;
+}
+
+const RuntimeTable::Change& RuntimeTable::change(std::uint64_t rev) const {
+  return log_.ring[rev % kChangeLogCapacity];
+}
+
 void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
                              ActionCall action, EpochWindow window) {
   if (tcam_) {
@@ -45,7 +70,7 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
     for (ExactEntry& version : it->second) {
       if (version.window == window) {
         version.action = std::move(action);  // reinstall overwrites
-        ++revision_;
+        log_exact(key);
         return;
       }
       if (version.window.overlaps(window)) {
@@ -61,7 +86,7 @@ void RuntimeTable::add_exact(const std::vector<std::uint64_t>& key,
   }
   exact_[key_string].push_back(ExactEntry{key, std::move(action), window});
   ++size_;
-  ++revision_;
+  log_exact(key);
 }
 
 std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
@@ -89,7 +114,7 @@ std::size_t RuntimeTable::add_ternary(const std::vector<net::TernaryField>& key,
   const std::size_t handle = tcam_->insert(key, priority, std::move(action));
   if (!window.is_default()) ternary_windows_[handle] = window;
   ++size_;
-  ++revision_;
+  log_ternary(handle);
   return handle;
 }
 
@@ -141,7 +166,7 @@ bool RuntimeTable::remove_exact(const std::vector<std::uint64_t>& key) {
   it->second.erase(vit);
   if (it->second.empty()) exact_.erase(it);
   --size_;
-  ++revision_;
+  log_exact(key);
   return true;
 }
 
@@ -157,7 +182,7 @@ bool RuntimeTable::remove_exact_version(const std::vector<std::uint64_t>& key,
   it->second.erase(vit);
   if (it->second.empty()) exact_.erase(it);
   --size_;
-  ++revision_;
+  log_exact(key);
   return true;
 }
 
@@ -170,7 +195,7 @@ bool RuntimeTable::retire_exact(const std::vector<std::uint64_t>& key,
     if (version.window.open()) {
       if (last_epoch < version.window.from) return false;
       version.window.to = last_epoch;
-      ++revision_;
+      log_exact(key);
       return true;
     }
   }
@@ -189,7 +214,7 @@ bool RuntimeTable::unretire_exact(const std::vector<std::uint64_t>& key,
       if (&other != &version && other.window.overlaps(reopened)) return false;
     }
     version.window = reopened;
-    ++revision_;
+    log_exact(key);
     return true;
   }
   return false;
@@ -200,7 +225,7 @@ bool RuntimeTable::erase_ternary(std::size_t handle) {
   if (!tcam_->erase(handle)) return false;
   ternary_windows_.erase(handle);
   --size_;
-  ++revision_;
+  log_ternary(handle);
   return true;
 }
 
@@ -217,7 +242,7 @@ bool RuntimeTable::retire_ternary(std::size_t handle,
   if (!window.open() || last_epoch < window.from) return false;
   window.to = last_epoch;
   ternary_windows_[handle] = window;
-  ++revision_;
+  log_ternary(handle);
   return true;
 }
 
@@ -229,7 +254,7 @@ bool RuntimeTable::unretire_ternary(std::size_t handle,
   }
   it->second.to = kEpochOpen;
   if (it->second.is_default()) ternary_windows_.erase(it);
-  ++revision_;
+  log_ternary(handle);
   return true;
 }
 
@@ -274,7 +299,7 @@ std::size_t RuntimeTable::gc(std::uint32_t min_live) {
     }
   }
   size_ -= removed;
-  if (removed > 0) ++revision_;
+  if (removed > 0) log_.record(Change::Kind::kTable);
   return removed;
 }
 
@@ -708,7 +733,7 @@ void RuntimeTable::clear() {
   if (tcam_) tcam_.emplace(def_->keys.size());
   ternary_windows_.clear();
   size_ = 0;
-  ++revision_;
+  log_.record(Change::Kind::kTable);
 }
 
 }  // namespace dejavu::sim

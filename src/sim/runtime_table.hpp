@@ -164,12 +164,39 @@ class RuntimeTable {
   std::size_t entry_count() const { return size_; }
   void clear();
 
-  /// Monotone mutation stamp: bumped by every entry mutation (install,
-  /// remove, retire, unretire, gc, clear). The compiled fast path
-  /// (sim::CompiledPipeline) snapshots it at compile time and treats
-  /// any movement as "my lowered entries may be stale" — the
-  /// trace-invalidation contract of DESIGN.md §12.
-  std::uint64_t revision() const { return revision_; }
+  /// Monotone mutation stamp: bumped by exactly one for every entry
+  /// mutation (install, remove, retire, unretire, a gc that removed
+  /// something, clear). The compiled fast path (sim::CompiledPipeline)
+  /// snapshots it at compile time and treats any movement as "my
+  /// lowered entries may be stale" — the trace-invalidation contract
+  /// of DESIGN.md §12.
+  std::uint64_t revision() const { return log_.revision; }
+
+  /// One logged mutation: what a reader holding an older revision must
+  /// re-read to catch up.
+  struct Change {
+    enum class Kind : std::uint8_t {
+      kExact,    ///< the versions of one exact key (`key`)
+      kTernary,  ///< one ternary/LPM entry (`handle`)
+      kTable,    ///< many entries at once (gc, clear): re-read it all
+    };
+    Kind kind = Kind::kTable;
+    std::vector<std::uint64_t> key;
+    std::size_t handle = 0;
+  };
+
+  /// How many of the most recent mutations the change log keeps.
+  static constexpr std::size_t kChangeLogCapacity = 64;
+
+  /// Does the change log hold every mutation after revision `since`?
+  /// False when `since` lies more than kChangeLogCapacity mutations
+  /// back, before this table object was copied (a copy starts its own
+  /// log at the copied revision), or ahead of revision().
+  bool log_covers(std::uint64_t since) const;
+
+  /// The mutation that moved revision() to `rev`. Requires
+  /// log_covers(rev - 1) and rev <= revision().
+  const Change& change(std::uint64_t rev) const;
 
   /// Per-table hit/miss counters (direct counters in P4 terms),
   /// incremented by lookup().
@@ -216,9 +243,32 @@ class RuntimeTable {
   std::uint64_t state_digest() const;
 
  private:
+  /// The revision counter and a ring of the last kChangeLogCapacity
+  /// changes (slot = revision % capacity, allocated on first use).
+  /// Copying a table copies its revision but starts an empty log
+  /// there, so a reader's snapshot of the original is never matched
+  /// against the copy's history.
+  struct ChangeLog {
+    std::uint64_t revision = 0;
+    std::uint64_t floor = 0;  // oldest revision the ring reaches back to
+    std::vector<Change> ring;
+
+    ChangeLog() = default;
+    ChangeLog(const ChangeLog& o) : revision(o.revision), floor(o.revision) {}
+    ChangeLog& operator=(const ChangeLog& o) {
+      revision = floor = o.revision;
+      return *this;
+    }
+    /// Bump the revision and return the slot that records the change.
+    Change& record(Change::Kind kind);
+  };
+
+  void log_exact(const std::vector<std::uint64_t>& key);
+  void log_ternary(std::size_t handle);
+
   const p4ir::Table* def_;
   std::size_t size_ = 0;
-  std::uint64_t revision_ = 0;
+  ChangeLog log_;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;
   // Exact storage: concatenated key string -> installed versions of

@@ -7,6 +7,9 @@
 // workers, mid-stream live updates included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -14,6 +17,7 @@
 #include "control/live_update.hpp"
 #include "control/replay_target.hpp"
 #include "control/snapshot.hpp"
+#include "control/transaction.hpp"
 #include "explore/explorer.hpp"
 #include "explore_test_util.hpp"
 #include "route/routing.hpp"
@@ -242,6 +246,246 @@ TEST(CompiledDifferential, TableCountersStayTruthful) {
       EXPECT_EQ(a[i]->misses(), b[i]->misses()) << table;
     }
   }
+}
+
+// --- incremental lowering (DESIGN.md §12): table writes interleaved
+// with traffic must re-lower entries or tables, never the program, and
+// stay bit-identical to the interpreter throughout.
+
+/// One switch under an interleaved stream: a deployment whose control
+/// plane services punts, plus the compiled engine on the fast side
+/// (null on the interpreter twin).
+struct Side {
+  control::Fig2Deployment fx;
+  std::unique_ptr<CompiledPipeline> fast;
+
+  DataPlane& dp() { return fx.deployment->dataplane(); }
+  control::ControlPlane& cp() { return fx.deployment->control(); }
+  SwitchOutput send(const net::Packet& packet, std::uint16_t port) {
+    SwitchOutput out =
+        fast ? fast->process(packet, port) : dp().process(packet, port);
+    cp().service_punts(out);
+    return out;
+  }
+};
+
+void evict_session(DataPlane& dp, std::uint64_t key) {
+  for (RuntimeTable* t : dp.tables_named("LB.lb_session")) {
+    t->remove_exact({key});
+  }
+}
+
+/// The flip half of LiveUpdate::run (shadow transaction, register
+/// banks, version gate), so traffic can run between the flip and the
+/// gc that retires the old generation.
+void flip(DataPlane& dp, const control::RuleDiff& diff) {
+  const std::uint32_t from = dp.epoch();
+  control::Transaction txn(dp);
+  control::fill_shadow_transaction(txn, diff, dp, from, from + 1);
+  ASSERT_TRUE(txn.commit().committed);
+  control::apply_register_banks(dp, diff, from + 1, /*only_untagged=*/false);
+  dp.set_epoch(from + 1);
+}
+
+void run_interleaved_stream(const std::string& name,
+                            control::Fig2Deployment (*make)()) {
+  Side fast{make(), nullptr};
+  Side twin{make(), nullptr};
+  fast.fast = std::make_unique<CompiledPipeline>(fast.dp());
+  ASSERT_TRUE(fast.fast->compiled_ok()) << name << ": "
+                                        << fast.fast->compile_error();
+  const CompiledStats start = fast.fast->stats();
+
+  // Every write lands on both switches.
+  auto both = [&](auto&& write) {
+    write(fast);
+    write(twin);
+  };
+
+  const auto flows = control::fig2_replay_flows(600, /*seed=*/11);
+  std::mt19937_64 rng(0x1ea4 + std::hash<std::string>{}(name));
+  constexpr int kPackets = 2400;
+  constexpr int kPureChurnEnd = 600;  // learns and evictions only before
+  constexpr int kBurstAt = 700;
+  constexpr int kFlipAt = 1800;
+  constexpr int kGcAt = 2100;
+  std::uint64_t recompiles_before_flip = 0;
+
+  for (int i = 0; i < kPackets; ++i) {
+    if (i == kPureChurnEnd) {
+      EXPECT_EQ(fast.fast->stats().recompiles, start.recompiles)
+          << name << ": learns and evictions forced a full recompile";
+      EXPECT_GT(fast.fast->stats().entry_deltas, start.entry_deltas) << name;
+    }
+    if (i > 0 && i % 41 == 0) {
+      // Evict one installed session (sorted, so both sides agree).
+      std::vector<std::uint64_t> keys;
+      for (const auto& e :
+           fast.dp().tables_named("LB.lb_session").at(0)->exact_entries()) {
+        if (e.window.open()) keys.push_back(e.key.at(0));
+      }
+      if (!keys.empty()) {
+        std::sort(keys.begin(), keys.end());
+        const std::uint64_t key = keys[rng() % keys.size()];
+        both([&](Side& s) { evict_session(s.dp(), key); });
+      }
+    }
+    if (i >= kPureChurnEnd && i < kFlipAt && i % 157 == 0) {
+      // Transactions on an exact and an LPM table.
+      // A fresh /24 each time; the first one shadows path 3's traffic.
+      const std::uint64_t key = rng() & 0xffffffff;
+      const auto net24 = static_cast<std::uint8_t>((i - kPureChurnEnd) / 157);
+      const std::uint64_t dmac = 0x4200 + (rng() % 64);
+      both([&](Side& s) {
+        control::Transaction txn(s.dp());
+        txn.install_exact("LB.lb_session", {key},
+                          {"LB.modify_dstIp", {{"dip", 0x0a010201}}});
+        txn.install_lpm("Router.ipv4_lpm",
+                        net::Ipv4Addr(10, 3, net24, 0).value(), 24,
+                        {"Router.route", {{"port", 1}, {"dmac", dmac}}});
+        const auto result = txn.commit();
+        ASSERT_TRUE(result.committed) << name << ": " << result.to_string();
+      });
+    }
+    if (i == kBurstAt) {
+      // More session installs than the change log holds.
+      std::vector<std::uint32_t> keys;
+      for (std::size_t j = 0; j < RuntimeTable::kChangeLogCapacity + 36; ++j) {
+        keys.push_back(static_cast<std::uint32_t>(rng()));
+      }
+      both([&](Side& s) {
+        for (std::uint32_t key : keys) {
+          s.cp().install_lb_session(key, net::Ipv4Addr(10, 1, 1, 1));
+        }
+      });
+    }
+    if (i == kFlipAt) {
+      recompiles_before_flip = fast.fast->stats().recompiles;
+      both([&](Side& s) { flip(s.dp(), bypass_lb_diff(*s.fx.deployment)); });
+    }
+    if (i == kGcAt) {
+      both([&](Side& s) { s.dp().gc_epochs(s.dp().epoch()); });
+    }
+
+    const ReplayFlow& rf = flows[rng() % flows.size()];
+    const net::Packet packet = rf.flow.packet();
+    const SwitchOutput a = twin.send(packet, rf.in_port);
+    const SwitchOutput b = fast.send(packet, rf.in_port);
+    ASSERT_TRUE(semantically_equal(a, b))
+        << name << " packet " << i << " path " << rf.path_id
+        << "\ninterp: " << a.drop_reason << "\ncompiled: " << b.drop_reason;
+  }
+
+  const CompiledStats& end = fast.fast->stats();
+  EXPECT_GT(twin.cp().sessions_learned(), 0u) << name;
+  EXPECT_GT(end.compiled_packets, 0u) << name;
+  // Every write before the flip was absorbed without a full recompile:
+  // entry deltas for sessions, table re-lowers for LPM installs and for
+  // the burst that overran the change log.
+  EXPECT_EQ(recompiles_before_flip, start.recompiles) << name;
+  EXPECT_GT(end.log_gaps, 0u) << name;
+  EXPECT_GT(end.table_relowers, end.log_gaps) << name;
+  // The flip is an epoch move, the one event that re-lowers everything.
+  EXPECT_EQ(end.recompile_causes.epoch, 1u) << name;
+  EXPECT_EQ(twin.dp().all_port_counters(), fast.dp().all_port_counters())
+      << name;
+  EXPECT_EQ(control::take_snapshot(twin.dp()).to_text(),
+            control::take_snapshot(fast.dp()).to_text())
+      << name;
+}
+
+control::Fig2Deployment make_fig2() { return control::make_fig2_deployment(); }
+control::Fig2Deployment make_fig9() { return control::make_fig9_deployment(); }
+
+TEST(CompiledIncremental, InterleavedWritesAgreeOnFig2) {
+  run_interleaved_stream("fig2", make_fig2);
+}
+
+TEST(CompiledIncremental, InterleavedWritesAgreeOnFig9) {
+  run_interleaved_stream("fig9", make_fig9);
+}
+
+/// The first path-1 flow of the canonical workload (its first packet
+/// misses LB.lb_session and is punted to be learned).
+const ReplayFlow& first_lb_flow(const std::vector<ReplayFlow>& flows) {
+  return *std::find_if(flows.begin(), flows.end(),
+                       [](const ReplayFlow& rf) { return rf.path_id == 1; });
+}
+
+TEST(CompiledIncremental, NewFlowCostIsFlatInInstalledSessions) {
+  // A control event costs in proportion to the state it changes
+  // (counted, not timed): learning one flow re-lowers one entry per
+  // LB.lb_session instance, whether 1k or 10k sessions are installed.
+  const auto flows = control::fig2_replay_flows(8);
+  const ReplayFlow& rf = first_lb_flow(flows);
+  std::vector<std::uint64_t> relowered;
+  for (const std::uint32_t sessions : {1000u, 10000u}) {
+    auto fx = control::make_fig9_deployment();
+    DataPlane& dp = fx.deployment->dataplane();
+    control::ControlPlane& cp = fx.deployment->control();
+    std::mt19937 rng(sessions);
+    for (std::uint32_t i = 0; i < sessions; ++i) {
+      cp.install_lb_session(rng(), net::Ipv4Addr(10, 1, 1, 1));
+    }
+    CompiledPipeline fast(dp);
+    ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+    const CompiledStats before = fast.stats();
+
+    SwitchOutput out = fast.process(rf.flow.packet(), rf.in_port);
+    ASSERT_EQ(out.to_cpu.size(), 1u);  // session miss
+    ASSERT_GE(cp.service_punts(out), 1u);
+    // The next packet catches the engine up and hits the new session.
+    out = fast.process(rf.flow.packet(), rf.in_port);
+    EXPECT_TRUE(out.to_cpu.empty());
+    EXPECT_TRUE(out.delivered()) << out.drop_reason;
+
+    const CompiledStats& after = fast.stats();
+    EXPECT_EQ(after.recompiles, before.recompiles) << sessions;
+    EXPECT_EQ(after.table_relowers, before.table_relowers) << sessions;
+    EXPECT_EQ(after.entry_deltas - before.entry_deltas,
+              dp.tables_named("LB.lb_session").size())
+        << sessions;
+    relowered.push_back(after.entry_deltas - before.entry_deltas);
+  }
+  EXPECT_EQ(relowered[0], relowered[1]);
+}
+
+TEST(CompiledIncremental, OpArenaStaysBoundedUnderLearnEvictChurn) {
+  auto fx = control::make_fig9_deployment();
+  DataPlane& dp = fx.deployment->dataplane();
+  control::ControlPlane& cp = fx.deployment->control();
+  for (std::uint32_t key = 0; key < 1000; ++key) {
+    cp.install_lb_session(0x80000000u + key, net::Ipv4Addr(10, 1, 1, 1));
+  }
+  CompiledPipeline fast(dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+  const CompiledStats start = fast.stats();
+
+  // Routed traffic: every packet revalidates, none of it punts.
+  const auto flows = control::fig2_replay_flows(8);
+  const ReplayFlow& routed = flows.back();
+  ASSERT_EQ(routed.path_id, 3u);
+  const net::Packet packet = routed.flow.packet();
+
+  constexpr std::uint32_t kCycles = 20000;
+  constexpr std::size_t kLive = 64;  // newest sessions kept, as in churn
+  std::deque<std::uint32_t> live;
+  std::size_t after_100 = 0;
+  for (std::uint32_t cycle = 0; cycle < kCycles; ++cycle) {
+    cp.install_lb_session(cycle, net::Ipv4Addr(10, 1, 1, 2));
+    live.push_back(cycle);
+    if (live.size() > kLive) {
+      evict_session(dp, live.front());
+      live.pop_front();
+    }
+    ASSERT_TRUE(fast.process(packet, routed.in_port).delivered());
+    if (cycle + 1 == 100) after_100 = fast.op_arena_size();
+  }
+  EXPECT_LE(fast.op_arena_size(), after_100 + 64);
+  EXPECT_EQ(fast.stats().recompiles, start.recompiles);
+  const std::uint64_t instances = dp.tables_named("LB.lb_session").size();
+  EXPECT_EQ(fast.stats().entry_deltas - start.entry_deltas,
+            instances * (2 * kCycles - kLive));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "control/deployment.hpp"
+#include "sim/dataplane.hpp"
+
 namespace dejavu::sim {
 namespace {
 
@@ -151,6 +154,184 @@ TEST(RuntimeTable, ClearResets) {
   EXPECT_FALSE(rt.lookup({1, 1}).hit);
   rt.add_exact({1, 1}, ActionCall{"hit_act", {}});  // usable after clear
   EXPECT_TRUE(rt.lookup({1, 1}).hit);
+}
+
+
+// --- change log (the compiled fast path's delta feed, DESIGN.md §12) ---
+
+using Kind = RuntimeTable::Change::Kind;
+
+/// The change that produced the table's current revision, checked to be
+/// covered from the revision just before it.
+const RuntimeTable::Change& last_change(const RuntimeTable& rt) {
+  EXPECT_TRUE(rt.log_covers(rt.revision() - 1));
+  return rt.change(rt.revision());
+}
+
+TEST(RuntimeTableLog, ExactMutatorsLogTheirKey) {
+  Table def = exact_table();
+  RuntimeTable rt(def);
+  const std::vector<std::uint64_t> key{7, 1};
+  const EpochWindow shadow{1, kEpochOpen};
+
+  auto expect_logged = [&](std::uint64_t rev_before, const char* what) {
+    EXPECT_EQ(rt.revision(), rev_before + 1) << what;
+    const RuntimeTable::Change& c = last_change(rt);
+    EXPECT_EQ(c.kind, Kind::kExact) << what;
+    EXPECT_EQ(c.key, key) << what;
+  };
+
+  std::uint64_t rev = rt.revision();
+  rt.add_exact(key, ActionCall{"hit_act", {{"p", 1}}});  // new key
+  expect_logged(rev, "add_exact (new key)");
+  rev = rt.revision();
+  rt.add_exact(key, ActionCall{"hit_act", {{"p", 2}}});  // overwrite
+  expect_logged(rev, "add_exact (overwrite)");
+  rev = rt.revision();
+  ASSERT_TRUE(rt.retire_exact(key, 0));
+  expect_logged(rev, "retire_exact");
+  rev = rt.revision();
+  ASSERT_TRUE(rt.unretire_exact(key, 0));
+  expect_logged(rev, "unretire_exact");
+  rev = rt.revision();
+  ASSERT_TRUE(rt.remove_exact(key));
+  expect_logged(rev, "remove_exact");
+  rt.add_exact(key, ActionCall{"hit_act", {}}, shadow);
+  rev = rt.revision();
+  ASSERT_TRUE(rt.remove_exact_version(key, shadow));
+  expect_logged(rev, "remove_exact_version");
+
+  // A refused write changes nothing and logs nothing.
+  rev = rt.revision();
+  EXPECT_FALSE(rt.remove_exact(key));
+  EXPECT_EQ(rt.revision(), rev);
+}
+
+TEST(RuntimeTableLog, TernaryMutatorsLogTheirHandle) {
+  Table def = lpm_table();
+  RuntimeTable rt(def);
+
+  std::uint64_t rev = rt.revision();
+  const std::size_t lpm = rt.add_lpm(0x0a000000, 8, ActionCall{"route", {}});
+  EXPECT_EQ(rt.revision(), rev + 1);
+  EXPECT_EQ(last_change(rt).kind, Kind::kTernary);
+  EXPECT_EQ(last_change(rt).handle, lpm);
+
+  const std::size_t tern = rt.add_ternary({net::TernaryField{0x0b000000,
+                                                             0xff000000}},
+                                          3, ActionCall{"route", {}});
+  EXPECT_EQ(last_change(rt).kind, Kind::kTernary);
+  EXPECT_EQ(last_change(rt).handle, tern);
+
+  rev = rt.revision();
+  ASSERT_TRUE(rt.retire_ternary(lpm, 0));
+  EXPECT_EQ(rt.revision(), rev + 1);
+  EXPECT_EQ(last_change(rt).handle, lpm);
+  ASSERT_TRUE(rt.unretire_ternary(lpm, 0));
+  EXPECT_EQ(rt.revision(), rev + 2);
+  EXPECT_EQ(last_change(rt).kind, Kind::kTernary);
+  EXPECT_EQ(last_change(rt).handle, lpm);
+  ASSERT_TRUE(rt.erase_ternary(tern));
+  EXPECT_EQ(rt.revision(), rev + 3);
+  EXPECT_EQ(last_change(rt).kind, Kind::kTernary);
+  EXPECT_EQ(last_change(rt).handle, tern);
+}
+
+TEST(RuntimeTableLog, GcAndClearLogTheWholeTable) {
+  Table def = exact_table();
+  RuntimeTable rt(def);
+  rt.add_exact({1, 1}, ActionCall{"hit_act", {}});
+  ASSERT_TRUE(rt.retire_exact({1, 1}, 0));
+
+  std::uint64_t rev = rt.revision();
+  EXPECT_EQ(rt.gc(1), 1u);
+  EXPECT_EQ(rt.revision(), rev + 1);
+  EXPECT_EQ(last_change(rt).kind, Kind::kTable);
+
+  rev = rt.revision();
+  EXPECT_EQ(rt.gc(1), 0u);  // nothing removed: no mutation, no record
+  EXPECT_EQ(rt.revision(), rev);
+
+  rt.add_exact({2, 2}, ActionCall{"hit_act", {}});
+  rev = rt.revision();
+  rt.clear();
+  EXPECT_EQ(rt.revision(), rev + 1);
+  EXPECT_EQ(last_change(rt).kind, Kind::kTable);
+}
+
+TEST(RuntimeTableLog, SnapshotOlderThanTheLogIsNotCovered) {
+  Table def = exact_table();
+  def.max_entries = 1024;
+  RuntimeTable rt(def);
+  EXPECT_TRUE(rt.log_covers(0));  // nothing happened yet
+  for (std::uint64_t i = 0; i <= RuntimeTable::kChangeLogCapacity; ++i) {
+    rt.add_exact({i, 0}, ActionCall{"hit_act", {}});
+  }
+  const std::uint64_t rev = rt.revision();
+  EXPECT_EQ(rev, RuntimeTable::kChangeLogCapacity + 1);
+  EXPECT_FALSE(rt.log_covers(0));  // one mutation too many ago
+  EXPECT_TRUE(rt.log_covers(1));
+  EXPECT_TRUE(rt.log_covers(rev));
+  EXPECT_FALSE(rt.log_covers(rev + 1));  // a revision it never had
+  // Every covered revision still names its own key.
+  for (std::uint64_t r = 2; r <= rev; ++r) {
+    EXPECT_EQ(rt.change(r).key, (std::vector<std::uint64_t>{r - 1, 0}));
+  }
+}
+
+TEST(RuntimeTableLog, CopiedDataPlaneCarriesItsOwnLog) {
+  auto fx = control::make_fig9_deployment();
+  DataPlane& original = fx.deployment->dataplane();
+  RuntimeTable& orig_lpm = *original.tables_named("Router.ipv4_lpm").at(0);
+  const std::uint64_t orig_rev = orig_lpm.revision();
+  ASSERT_GT(orig_rev, 0u);
+
+  DataPlane copy = original;
+  RuntimeTable& copy_lpm = *copy.tables_named("Router.ipv4_lpm").at(0);
+  EXPECT_EQ(copy_lpm.revision(), orig_rev);
+  // The copy's log starts at the copied revision: a reader of the
+  // original's history is told to re-read the copy in full.
+  EXPECT_TRUE(copy_lpm.log_covers(orig_rev));
+  EXPECT_FALSE(copy_lpm.log_covers(orig_rev - 1));
+
+  const std::size_t handle =
+      copy_lpm.add_lpm(0x0a4d0000, 16, ActionCall{"Router.route", {}});
+  EXPECT_EQ(copy_lpm.revision(), orig_rev + 1);
+  EXPECT_TRUE(copy_lpm.log_covers(orig_rev));
+  EXPECT_EQ(copy_lpm.change(orig_rev + 1).kind, Kind::kTernary);
+  EXPECT_EQ(copy_lpm.change(orig_rev + 1).handle, handle);
+
+  // The original neither moved nor saw the copy's write.
+  EXPECT_EQ(orig_lpm.revision(), orig_rev);
+  EXPECT_FALSE(orig_lpm.log_covers(orig_rev + 1));
+}
+
+TEST(RuntimeTableLog, CorruptionStaysSilent) {
+  // The auditor's quarantine path (DESIGN.md §16) is the only detector
+  // of silent corruption: corrupt() must neither bump the revision nor
+  // leave a log record a delta reader could act on.
+  Table def = exact_table();
+  RuntimeTable rt(def);
+  rt.add_exact({1, 1}, ActionCall{"hit_act", {{"p", 1}}});
+  rt.add_exact({2, 2}, ActionCall{"hit_act", {{"p", 2}}});
+  const std::uint64_t rev = rt.revision();
+  for (auto kind : {RuntimeTable::CorruptKind::kActionFlip,
+                    RuntimeTable::CorruptKind::kKeyFlip,
+                    RuntimeTable::CorruptKind::kDuplicate,
+                    RuntimeTable::CorruptKind::kDelete}) {
+    ASSERT_NE(rt.corrupt(kind, 42), "");
+    EXPECT_EQ(rt.revision(), rev);
+    EXPECT_EQ(rt.change(rev).kind, Kind::kExact);
+    EXPECT_EQ(rt.change(rev).key, (std::vector<std::uint64_t>{2, 2}));
+  }
+
+  Table tdef = lpm_table();
+  RuntimeTable tern(tdef);
+  tern.add_lpm(0x0a000000, 8, ActionCall{"route", {{"port", 1}}});
+  const std::uint64_t trev = tern.revision();
+  ASSERT_NE(tern.corrupt(RuntimeTable::CorruptKind::kKeyFlip, 7), "");
+  EXPECT_EQ(tern.revision(), trev);
+  EXPECT_EQ(tern.change(trev).kind, Kind::kTernary);
 }
 
 }  // namespace
