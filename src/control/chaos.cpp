@@ -381,8 +381,7 @@ ChannelScriptOutcome run_channel_script(sim::DataPlane& dp,
     for (int attempt = 0; attempt < 6 && journal.pending(); ++attempt) {
       heal();
       ++out.recoveries;
-      RecoveryReport rec =
-          recover_via_session(session, journal, update_options);
+      RecoveryReport rec = recover_via_session(session, journal);
       if (rec.action == RecoveryAction::kRolledBack) {
         ++out.rollbacks;
         break;  // retry the whole update

@@ -212,9 +212,9 @@ std::size_t ControlPlane::service_punts(sim::SwitchOutput& out, int depth) {
       for (auto& c : re.to_cpu) out.to_cpu.push_back(std::move(c));
       out.resubmissions += re.resubmissions;
       out.recirculations += re.recirculations;
-      out.recirc_ports.insert(out.recirc_ports.end(),
-                              re.recirc_ports.begin(),
-                              re.recirc_ports.end());
+      for (const std::uint16_t port : re.recirc_ports) {
+        out.recirc_ports.push_back(port);
+      }
       if (re.dropped) {
         out.set_drop(re.drop_code,
                      "reinjected packet dropped: " + re.drop_reason);

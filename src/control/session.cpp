@@ -796,8 +796,7 @@ UpdateReport run_update_via_session(Session& session, const RuleDiff& diff,
   return report;
 }
 
-RecoveryReport recover_via_session(Session& session, Journal& journal,
-                                   LiveUpdateOptions options) {
+RecoveryReport recover_via_session(Session& session, Journal& journal) {
   RecoveryReport report;
   auto pending = journal.pending();
   if (!pending) return report;

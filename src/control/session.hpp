@@ -246,7 +246,6 @@ UpdateReport run_update_via_session(Session& session, const RuleDiff& diff,
 /// the live switch state, decide roll-forward vs roll-back exactly as
 /// control::recover does (journal rank AND observed shadow), then
 /// complete via idempotent session writes.
-RecoveryReport recover_via_session(Session& session, Journal& journal,
-                                   LiveUpdateOptions options = {});
+RecoveryReport recover_via_session(Session& session, Journal& journal);
 
 }  // namespace dejavu::control

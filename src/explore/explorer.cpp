@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <stdexcept>
 
 #include "explore/symbolic.hpp"
@@ -41,7 +42,7 @@ std::string join_ternary(const std::vector<net::TernaryField>& key) {
   return s;
 }
 
-std::string ports_string(const std::vector<std::uint16_t>& ports) {
+std::string ports_string(std::span<const std::uint16_t> ports) {
   std::string s = "[";
   for (std::size_t i = 0; i < ports.size(); ++i) {
     if (i) s += " ";
@@ -1384,8 +1385,8 @@ void Explorer::differential_replay(const PathSummary& path) {
   for (const auto& e : out.out) concrete_ports.push_back(e.port);
 
   auto describe = [](bool dropped, sim::DropCode code, std::size_t punts,
-                     const std::vector<std::uint16_t>& out_ports,
-                     const std::vector<std::uint16_t>& recirc,
+                     std::span<const std::uint16_t> out_ports,
+                     std::span<const std::uint16_t> recirc,
                      std::uint32_t resubmits) {
     std::string s = dropped
                         ? "drop[" + std::string(sim::drop_code_name(code)) + "]"
@@ -1401,7 +1402,8 @@ void Explorer::differential_replay(const PathSummary& path) {
                       path.outcome.drop_code == out.drop_code) &&
                      path.outcome.to_cpu == out.to_cpu.size() &&
                      path.outcome.out_ports == concrete_ports &&
-                     path.outcome.recirc_ports == out.recirc_ports &&
+                     std::ranges::equal(path.outcome.recirc_ports,
+                                        out.recirc_ports) &&
                      path.outcome.resubmissions == out.resubmissions;
   if (agree) return;
   add_finding(

@@ -40,6 +40,21 @@ class Buffer {
   explicit Buffer(std::size_t size) : bytes_(size) {}
   explicit Buffer(std::vector<std::byte> bytes) : bytes_(std::move(bytes)) {}
 
+  /// Spare capacity a copy keeps, so that pushing an encapsulation
+  /// header (the 20-byte SFC header) into the copy does not reallocate.
+  static constexpr std::size_t kHeadroom = 32;
+
+  Buffer(const Buffer& other) { *this = other; }
+  Buffer& operator=(const Buffer& other) {
+    if (this != &other) {
+      bytes_.reserve(other.size() + kHeadroom);
+      bytes_.assign(other.bytes_.begin(), other.bytes_.end());
+    }
+    return *this;
+  }
+  Buffer(Buffer&&) noexcept = default;
+  Buffer& operator=(Buffer&&) noexcept = default;
+
   std::size_t size() const noexcept { return bytes_.size(); }
   bool empty() const noexcept { return bytes_.empty(); }
 

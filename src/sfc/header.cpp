@@ -150,6 +150,36 @@ void write_sfc(net::Packet& packet, const SfcHeader& header) {
                                             kSfcHeaderSize));
 }
 
+bool set_context(net::Packet& packet, std::uint8_t key, std::uint16_t value) {
+  if (!packet.has_sfc_header() ||
+      packet.size() < net::EthernetHeader::kSize + kSfcHeaderSize) {
+    return false;
+  }
+  auto h = packet.data().mutable_slice(net::EthernetHeader::kSize,
+                                       kSfcHeaderSize);
+  // write_sfc's canonical form: pack_meta leaves bits [8:0] of the
+  // platform metadata (bytes 3..6) zero.
+  h[5] &= std::byte{0xfe};
+  h[6] = std::byte{0};
+  if (key == 0) return true;  // ContextData::set refuses key 0
+  // ContextData::set: the key's own slot, else the first empty one.
+  std::byte* ctx = h.data() + 7;
+  auto key_at = [&](std::size_t slot) {
+    return std::to_integer<std::uint8_t>(ctx[slot * 3]);
+  };
+  std::size_t slot = 0;
+  while (slot < ContextData::kSlots && key_at(slot) != key) ++slot;
+  if (slot == ContextData::kSlots) {
+    slot = 0;
+    while (slot < ContextData::kSlots && key_at(slot) != 0) ++slot;
+    if (slot == ContextData::kSlots) return true;  // full, key is new
+  }
+  ctx[slot * 3] = static_cast<std::byte>(key);
+  ctx[slot * 3 + 1] = static_cast<std::byte>(value >> 8);
+  ctx[slot * 3 + 2] = static_cast<std::byte>(value & 0xff);
+  return true;
+}
+
 void push_sfc(net::Packet& packet, SfcHeader header) {
   if (packet.has_sfc_header()) {
     throw std::logic_error("push_sfc: packet already has an SFC header");

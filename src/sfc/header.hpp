@@ -108,6 +108,14 @@ std::optional<SfcHeader> read_sfc(const net::Packet& packet);
 /// Throws std::logic_error if the packet has no SFC header.
 void write_sfc(net::Packet& packet, const SfcHeader& header);
 
+/// Set one context slot in place: exactly read_sfc, ContextData::set,
+/// write_sfc, byte for byte (so the reserved platform-metadata bits
+/// [8:0] are cleared even when the context is full or key is 0), but
+/// without decoding or re-encoding the rest of the header. Returns
+/// false, leaving the packet untouched, when read_sfc would find no
+/// header.
+bool set_context(net::Packet& packet, std::uint8_t key, std::uint16_t value);
+
 /// Insert an SFC header between Ethernet and IP (done by the Classifier
 /// in the paper). Sets the Ethernet EtherType to the SFC EtherType and
 /// records the displaced EtherType in next_protocol.

@@ -163,7 +163,7 @@ bool CompiledPipeline::apply_deltas() {
 // --- compilation -----------------------------------------------------
 
 CompiledPipeline::FieldRefC CompiledPipeline::resolve_header_field(
-    const std::string& dotted) const {
+    const std::string& dotted) {
   FieldRefC out;
   auto ref = p4ir::FieldRef::parse(dotted);
   if (!ref) return out;
@@ -174,11 +174,24 @@ CompiledPipeline::FieldRefC CompiledPipeline::resolve_header_field(
   auto bit_off = type->bit_offset(ref->field);
   const p4ir::Field* field = type->find_field(ref->field);
   if (!bit_off || field == nullptr) return out;
+  if (field->bits > 64) {
+    // read_bits refuses such a field on every packet; lowering refuses
+    // it once, so the engine runs as the interpreter shim.
+    if (wide_field_.empty()) wide_field_ = dotted;
+    return out;
+  }
   out.space = Space::kHeader;
   out.header = hit->second;
   out.bit_off = *bit_off;
   out.bits = field->bits;
+  out.slice = lower_bits(*bit_off, field->bits);
   return out;
+}
+
+bool CompiledPipeline::check_wide_fields(std::string* err) const {
+  if (wide_field_.empty()) return true;
+  *err = "field '" + wide_field_ + "' is wider than 64 bits";
+  return false;
 }
 
 CompiledPipeline::FieldRefC CompiledPipeline::resolve_field(
@@ -344,7 +357,7 @@ bool CompiledPipeline::compile_action(const p4ir::ControlBlock& control,
     }
     ops_[out.begin + i] = op;
   }
-  return true;
+  return check_wide_fields(err);
 }
 
 void CompiledPipeline::release_action(ActionRef ref) {
@@ -509,6 +522,7 @@ bool CompiledPipeline::compile(std::string* err) {
   shapes_.clear();
   header_index_.clear();
   local_index_.clear();
+  wide_field_.clear();
   selector_ranges_.clear();
   revisions_.clear();
   spec_classes_.clear();
@@ -608,6 +622,7 @@ bool CompiledPipeline::compile(std::string* err) {
       return false;
     }
   }
+  if (!check_wide_fields(err)) return false;
 
   // Invalidation snapshot: every table the compiled program can read.
   for (std::uint32_t c = 0; c < controls_.size(); ++c) {
@@ -731,6 +746,7 @@ void CompiledPipeline::compile_specializations() {
       SpecGuardC gc;
       gc.field = resolve_header_field(g.field);
       if (gc.field.space != Space::kHeader) {
+        wide_field_.clear();  // only this certificate is refused
         ok = false;
         break;
       }
@@ -802,8 +818,10 @@ void CompiledPipeline::index_specializations() {
       }
     }
     if (bucket == nullptr) {
-      spec_buckets_.push_back(
-          {.in_port = sc.in_port, .shape_hash = sc.shape_hash});
+      spec_buckets_.push_back({.in_port = sc.in_port,
+                               .shape_hash = sc.shape_hash,
+                               .fields = {},
+                               .classes = {}});
       bucket = &spec_buckets_.back();
     }
     for (SpecGuardC& g : sc.guards) {
@@ -913,10 +931,9 @@ void CompiledPipeline::run_parse(const net::Packet& packet) {
           !(present_ & (std::uint64_t{1} << f.header))) {
         continue;
       }
-      const std::size_t abs =
-          std::size_t{hdr_off_[f.header]} * 8 + f.bit_off;
-      if (abs + f.bits > bytes.size() * 8) continue;
-      if (read_bits(bytes, abs, f.bits) == e.value) {
+      const std::size_t off = hdr_off_[f.header];
+      if (off + f.slice.byte + f.slice.bytes > bytes.size()) continue;
+      if (load_bits(bytes.data() + off, f.slice) == e.value) {
         state = e.to;
         advanced = true;
         break;
@@ -966,10 +983,12 @@ std::optional<std::uint64_t> CompiledPipeline::read_field(
       return local_val_[f.local_slot];
     case Space::kHeader: {
       if (!(present_ & (std::uint64_t{1} << f.header))) return std::nullopt;
-      const std::size_t abs = std::size_t{hdr_off_[f.header]} * 8 + f.bit_off;
+      const std::size_t off = hdr_off_[f.header];
       auto bytes = packet.data().view();
-      if (abs + f.bits > bytes.size() * 8) return std::nullopt;
-      return read_bits(bytes, abs, f.bits);
+      if (off + f.slice.byte + f.slice.bytes > bytes.size()) {
+        return std::nullopt;
+      }
+      return load_bits(bytes.data() + off, f.slice);
     }
     case Space::kNone:
       return std::nullopt;
@@ -1021,10 +1040,10 @@ void CompiledPipeline::write_field(const FieldRefC& f, std::uint64_t value,
       return;
     case Space::kHeader: {
       if (!(present_ & (std::uint64_t{1} << f.header))) return;
-      const std::size_t abs = std::size_t{hdr_off_[f.header]} * 8 + f.bit_off;
+      const std::size_t off = hdr_off_[f.header];
       auto bytes = packet.data().mutable_view();
-      if (abs + f.bits > bytes.size() * 8) return;
-      write_bits(bytes, abs, f.bits, mask_to_width(value, f.bits));
+      if (off + f.slice.byte + f.slice.bytes > bytes.size()) return;
+      store_bits(bytes.data() + off, f.slice, value);
       // The interpreter's per-pipelet FieldView never re-parses on
       // field writes; the write becomes parser-visible at the *next*
       // pipelet entry (which parses fresh). Defer accordingly.
@@ -1087,15 +1106,12 @@ void CompiledPipeline::run_action(ActionRef ref, net::Packet& packet,
       case p4ir::PrimitiveOp::kDrop:
         meta.drop_flag = true;
         break;
-      case p4ir::PrimitiveOp::kSetContext: {
-        auto header = sfc::read_sfc(packet);
-        if (header) {
-          header->context.set(op.ctx_key, op.ctx_value);
-          sfc::write_sfc(packet, *header);
-          if (sfc_affects_parse_) parse_dirty_ = true;
+      case p4ir::PrimitiveOp::kSetContext:
+        if (sfc::set_context(packet, op.ctx_key, op.ctx_value) &&
+            sfc_affects_parse_) {
+          parse_dirty_ = true;
         }
         break;
-      }
       case p4ir::PrimitiveOp::kRegisterRead:
       case p4ir::PrimitiveOp::kRegisterAdd:
       case p4ir::PrimitiveOp::kRegisterWrite: {

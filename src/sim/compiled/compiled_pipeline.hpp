@@ -51,6 +51,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "sim/bits.hpp"
 #include "sim/compiled/trace_certificate.hpp"
 #include "sim/dataplane.hpp"
 
@@ -196,6 +197,10 @@ class CompiledPipeline {
     std::uint16_t header = 0;  // header-type index
     std::uint32_t bit_off = 0;
     std::uint16_t bits = 0;
+    /// The field's bytes relative to its header's start, lowered at
+    /// compile time: a header access is one bounds compare plus one
+    /// load_bits/store_bits.
+    ByteSlice slice;
     std::uint16_t local_slot = 0;
     /// Writing this field can change what the parser extracts (its
     /// bits overlap a parser selector) — invalidate the cached parse.
@@ -436,7 +441,11 @@ class CompiledPipeline {
   bool apply_deltas();
   void size_local_scratch();
   FieldRefC resolve_field(const std::string& dotted);
-  FieldRefC resolve_header_field(const std::string& dotted) const;
+  /// A header field; kNone when it does not resolve or is wider than
+  /// 64 bits (the latter also recorded in wide_field_).
+  FieldRefC resolve_header_field(const std::string& dotted);
+  /// Fails the lowering in progress if it referenced a wide field.
+  bool check_wide_fields(std::string* err) const;
   void mark_parse_selectors();
   void collect_shapes_from_witnesses();
   bool collect_all_shapes();
@@ -497,6 +506,9 @@ class CompiledPipeline {
   std::unordered_set<std::uint64_t> shapes_;
   std::unordered_map<std::string, std::uint16_t> header_index_;
   std::unordered_map<std::string, std::uint16_t> local_index_;
+  /// First field wider than 64 bits a lowering referenced (empty if
+  /// none): such a field cannot be lowered, so its compile fails.
+  std::string wide_field_;
   std::int32_t ipv4_header_ = -1;
   std::int32_t sfc_header_ = -1;
   bool sfc_affects_parse_ = false;

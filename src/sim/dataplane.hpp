@@ -6,6 +6,8 @@
 // stage emits, against the very rules the route stage installs.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -22,6 +24,40 @@
 #include "sim/runtime_table.hpp"
 
 namespace dejavu::sim {
+
+/// An ordered list of ports that keeps its first kInline entries in
+/// place, so a packet's usual one or two recirculations allocate
+/// nothing. Past kInline all entries move to the heap.
+class PortList {
+ public:
+  static constexpr std::size_t kInline = 6;
+
+  void push_back(std::uint16_t port) {
+    if (size_ < kInline) {
+      inline_[size_++] = port;
+      return;
+    }
+    if (size_ == kInline) spill_.assign(inline_.begin(), inline_.end());
+    spill_.push_back(port);
+    ++size_;
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const std::uint16_t* data() const {
+    return size_ <= kInline ? inline_.data() : spill_.data();
+  }
+  const std::uint16_t* begin() const { return data(); }
+  const std::uint16_t* end() const { return data() + size_; }
+
+  friend bool operator==(const PortList& a, const PortList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::size_t size_ = 0;
+  std::array<std::uint16_t, kInline> inline_{};
+  std::vector<std::uint16_t> spill_;  // every entry, once past kInline
+};
 
 /// Everything one injected packet produced.
 struct SwitchOutput {
@@ -63,7 +99,7 @@ struct SwitchOutput {
   /// The loopback / dedicated-recirc port taken by each recirculation,
   /// in order (size == recirculations). Lets observers attribute
   /// recirculation load to pipelines without parsing the trace.
-  std::vector<std::uint16_t> recirc_ports;
+  PortList recirc_ports;
   std::vector<asic::PipeletId> pipelets_visited;
   std::vector<std::string> trace;
 

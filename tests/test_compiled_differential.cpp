@@ -20,7 +20,10 @@
 #include "control/transaction.hpp"
 #include "explore/explorer.hpp"
 #include "explore_test_util.hpp"
+#include "merge/compose.hpp"
+#include "nf/parser_lib.hpp"
 #include "route/routing.hpp"
+#include "sfc/header.hpp"
 #include "sim/compiled/compiled_pipeline.hpp"
 #include "sim/replay.hpp"
 
@@ -394,6 +397,23 @@ void run_interleaved_stream(const std::string& name,
       << name;
 }
 
+/// Give `packet` an SFC header the switch did not write: path `path`,
+/// a random service index below 4, random platform metadata with the
+/// reserved bits [8:0] dirty, random context slots.
+void dirty_encapsulate(net::Packet& packet, std::mt19937_64& rng,
+                       std::uint32_t path) {
+  sfc::push_sfc(packet, sfc::SfcHeader{});
+  auto h = packet.data().mutable_slice(net::EthernetHeader::kSize,
+                                       sfc::kSfcHeaderSize);
+  h[0] = static_cast<std::byte>(path >> 8);
+  h[1] = static_cast<std::byte>(path & 0xff);
+  h[2] = static_cast<std::byte>(rng() % 4);
+  for (std::size_t b = 3; b < 19; ++b) {
+    h[b] = static_cast<std::byte>(rng() & 0xff);
+  }
+  h[6] |= std::byte{0x01};
+}
+
 control::Fig2Deployment make_fig2() { return control::make_fig2_deployment(); }
 control::Fig2Deployment make_fig9() { return control::make_fig9_deployment(); }
 
@@ -486,6 +506,119 @@ TEST(CompiledIncremental, OpArenaStaysBoundedUnderLearnEvictChurn) {
   const std::uint64_t instances = dp.tables_named("LB.lb_session").size();
   EXPECT_EQ(fast.stats().entry_deltas - start.entry_deltas,
             instances * (2 * kCycles - kLive));
+}
+
+/// Fig. 2 / Fig. 9 traffic of which three packets in four arrive
+/// already encapsulated, with an SFC header the switch did not write:
+/// dirty reserved platform-metadata bits [8:0], random context slots.
+/// The shipped chains take only plain traffic at the edge, so those
+/// packets must be dropped exactly as the interpreter drops them, while
+/// the plain ones run the classifier's and the VGW's set-context.
+void run_dirty_sfc_stream(const std::string& name,
+                          control::Fig2Deployment (*make)()) {
+  Side fast{make(), nullptr};
+  Side twin{make(), nullptr};
+  fast.fast = std::make_unique<CompiledPipeline>(fast.dp());
+  ASSERT_TRUE(fast.fast->compiled_ok()) << name << ": "
+                                        << fast.fast->compile_error();
+
+  const auto flows = control::fig2_replay_flows(400, /*seed=*/23);
+  std::mt19937_64 rng(0xd1c7 + std::hash<std::string>{}(name));
+  for (int i = 0; i < 1200; ++i) {
+    const ReplayFlow& rf = flows[rng() % flows.size()];
+    net::Packet packet = rf.flow.packet();
+    if (i % 4 != 0) dirty_encapsulate(packet, rng, rf.path_id);
+    const SwitchOutput a = twin.send(packet, rf.in_port);
+    const SwitchOutput b = fast.send(packet, rf.in_port);
+    ASSERT_TRUE(semantically_equal(a, b))
+        << name << " packet " << i << " path " << rf.path_id
+        << "\ninterp: " << a.drop_reason << "\ncompiled: " << b.drop_reason;
+  }
+  EXPECT_EQ(fast.fast->stats().compiled_packets, 1200u) << name;
+  EXPECT_EQ(twin.dp().all_port_counters(), fast.dp().all_port_counters())
+      << name;
+}
+
+TEST(CompiledIncremental, DirtyReservedSfcBitsAgreeOnFig2) {
+  run_dirty_sfc_stream("fig2", make_fig2);
+}
+
+TEST(CompiledIncremental, DirtyReservedSfcBitsAgreeOnFig9) {
+  run_dirty_sfc_stream("fig9", make_fig9);
+}
+
+/// A switch that takes encapsulated traffic and forwards it with its
+/// SFC header on, after two set-context primitives (one keyed on the
+/// service path, one on the service index): the canonical form of the
+/// header each one writes is visible in the emitted bytes.
+TEST(CompiledIncremental, SetContextOnForeignSfcHeadersAgrees) {
+  p4ir::TupleIdTable ids;
+  p4ir::Program program{"tagger"};
+  nf::add_standard_parser(program, ids);
+  p4ir::ControlBlock c(
+      merge::pipelet_control_name({0, asic::PipeKind::kIngress}));
+  p4ir::Action tag;
+  tag.name = "tag";
+  tag.params = {{"value", 16}};
+  tag.primitives = {p4ir::set_context(7, "value"),
+                    p4ir::set_imm("standard_metadata.egress_spec", 1)};
+  c.add_action(tag);
+  p4ir::Action tag_index;
+  tag_index.name = "tag_index";
+  tag_index.params = {{"value", 16}};
+  tag_index.primitives = {p4ir::set_context(9, "value")};
+  c.add_action(tag_index);
+  p4ir::Action fwd;
+  fwd.name = "fwd";
+  fwd.primitives = {p4ir::set_imm("standard_metadata.egress_spec", 2)};
+  c.add_action(fwd);
+  p4ir::Table by_path;
+  by_path.name = "by_path";
+  by_path.keys = {{"sfc.service_path_id", p4ir::MatchKind::kExact, 16}};
+  by_path.actions = {"tag", "fwd"};
+  by_path.default_action = "fwd";
+  c.add_table(by_path);
+  p4ir::Table by_index;
+  by_index.name = "by_index";
+  by_index.keys = {{"sfc.service_index", p4ir::MatchKind::kExact, 8}};
+  by_index.actions = {"tag_index"};
+  c.add_table(by_index);
+  c.apply_table("by_path");
+  c.apply_table("by_index");
+  const std::string control_name = c.name();
+  program.add_control(std::move(c));
+
+  DataPlane twin(program, ids, asic::SwitchConfig{asic::TargetSpec::mini()});
+  for (std::uint64_t path = 1; path <= 12; ++path) {
+    twin.table_in(control_name, "by_path")
+        ->add_exact({path}, ActionCall{"tag", {{"value", 0x100 + path}}});
+  }
+  for (std::uint64_t index = 0; index < 3; ++index) {
+    twin.table_in(control_name, "by_index")
+        ->add_exact({index}, ActionCall{"tag_index", {{"value", index}}});
+  }
+  DataPlane fast_dp = twin;
+  CompiledPipeline fast(fast_dp);
+  ASSERT_TRUE(fast.compiled_ok()) << fast.compile_error();
+
+  std::mt19937_64 rng(0x7a66);
+  std::size_t canonicalized = 0;
+  for (int i = 0; i < 2000; ++i) {
+    net::Packet packet = net::Packet::make({});
+    dirty_encapsulate(packet, rng, 1 + rng() % 16);
+    const SwitchOutput a = twin.process(packet, 0);
+    const SwitchOutput b = fast.process(packet, 0);
+    ASSERT_TRUE(semantically_equal(a, b)) << "packet " << i << "\ninterp: "
+                                          << a.drop_reason << "\ncompiled: "
+                                          << b.drop_reason;
+    ASSERT_EQ(a.out.size(), 1u) << a.drop_reason;
+    canonicalized += a.out[0].port == 1 &&
+                     a.out[0].packet.data().view()[net::EthernetHeader::kSize +
+                                                   6] == std::byte{0};
+  }
+  EXPECT_EQ(fast.stats().compiled_packets, 2000u);
+  EXPECT_GT(canonicalized, 1000u);  // tagged packets leave canonical
+  EXPECT_EQ(twin.all_port_counters(), fast_dp.all_port_counters());
 }
 
 }  // namespace

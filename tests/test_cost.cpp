@@ -212,7 +212,9 @@ TEST(CostFixtures, ForcedRegisterCertificatesAreTainted) {
   bundle.options.force_certify = false;
   const CostResult honest = bundle.run();
   for (const ClassCost& c : honest.classes) {
-    if (c.register_dependent) EXPECT_FALSE(c.certified()) << c.class_id;
+    if (c.register_dependent) {
+      EXPECT_FALSE(c.certified()) << c.class_id;
+    }
   }
   EXPECT_EQ(honest.report.errors(), 0u) << honest.report.to_string();
 }

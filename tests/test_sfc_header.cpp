@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
+#include "net/bytes.hpp"
+
 namespace dejavu::sfc {
 namespace {
 
@@ -145,6 +150,117 @@ TEST(PushPop, WriteSfcUpdatesInPlace) {
 TEST(PushPop, WriteSfcWithoutHeaderThrows) {
   net::Packet p = net::Packet::make({});
   EXPECT_THROW(write_sfc(p, SfcHeader{}), std::logic_error);
+}
+
+// --- set_context: in place, byte for byte the decode/set/encode path --
+
+/// An Ethernet/SFC/IPv4 packet whose 20 SFC header bytes are random:
+/// nonzero reserved platform-metadata bits, duplicate and empty keys,
+/// garbage next-protocol codes.
+net::Packet random_sfc_packet(std::mt19937_64& rng) {
+  net::Packet p = net::Packet::make({});
+  push_sfc(p, SfcHeader{});
+  for (std::byte& b : p.data().mutable_slice(net::EthernetHeader::kSize,
+                                             kSfcHeaderSize)) {
+    b = static_cast<std::byte>(rng() & 0xff);
+  }
+  return p;
+}
+
+/// What the set-context primitive did before it was done in place.
+net::Packet reference_set(net::Packet p, std::uint8_t key,
+                          std::uint16_t value) {
+  if (auto h = read_sfc(p)) {
+    h->context.set(key, value);
+    write_sfc(p, *h);
+  }
+  return p;
+}
+
+std::uint8_t slot_key(const net::Packet& p, std::size_t slot) {
+  return std::to_integer<std::uint8_t>(
+      p.data().view()[net::EthernetHeader::kSize + 7 + slot * 3]);
+}
+
+void expect_same_as_reference(net::Packet p, std::uint8_t key,
+                              std::uint16_t value) {
+  const net::Packet want = reference_set(p, key, value);
+  EXPECT_TRUE(set_context(p, key, value));
+  EXPECT_EQ(net::to_hex(p.data().view()), net::to_hex(want.data().view()))
+      << "key " << int{key} << " value " << value;
+}
+
+TEST(SetContext, MatchesDecodeSetEncodeOnRandomHeaders) {
+  std::mt19937_64 rng(0x5fc);
+  std::size_t dirty_reserved = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const net::Packet p = random_sfc_packet(rng);
+    const auto meta = p.data().slice(net::EthernetHeader::kSize + 3, 4);
+    dirty_reserved += (std::to_integer<unsigned>(meta[2]) & 1) != 0 ||
+                      meta[3] != std::byte{0};
+    const auto key = static_cast<std::uint8_t>(rng() & 0xff);
+    expect_same_as_reference(p, key, static_cast<std::uint16_t>(rng()));
+    // A key the header already holds.
+    expect_same_as_reference(p, slot_key(p, rng() % ContextData::kSlots),
+                             static_cast<std::uint16_t>(rng()));
+    // Key 0: nothing is set, but the header is still canonicalized.
+    expect_same_as_reference(p, 0, static_cast<std::uint16_t>(rng()));
+  }
+  EXPECT_GT(dirty_reserved, 1900u);
+}
+
+TEST(SetContext, FullContextRefusesANewKeyButCanonicalizes) {
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 200; ++i) {
+    net::Packet p = random_sfc_packet(rng);
+    auto h = p.data().mutable_slice(net::EthernetHeader::kSize,
+                                    kSfcHeaderSize);
+    for (std::size_t slot = 0; slot < ContextData::kSlots; ++slot) {
+      h[7 + slot * 3] = static_cast<std::byte>(10 + slot);  // all in use
+    }
+    h[6] = std::byte{0xff};  // reserved bits set
+    const net::Packet want = reference_set(p, 99, 0x1234);
+    EXPECT_TRUE(set_context(p, 99, 0x1234));
+    EXPECT_EQ(p, want);
+    EXPECT_EQ(h[6], std::byte{0});
+    ASSERT_TRUE(read_sfc(p).has_value());
+    EXPECT_FALSE(read_sfc(p)->context.get(99).has_value());
+  }
+}
+
+TEST(SetContext, SetsANewKeyInTheFirstEmptySlot) {
+  net::Packet p = net::Packet::make({});
+  SfcHeader h;
+  h.context.set(4, 44);
+  push_sfc(p, h);
+  ASSERT_TRUE(set_context(p, 9, 0xbeef));
+  const auto got = read_sfc(p);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->context.get(9), 0xbeef);
+  EXPECT_EQ(got->context.get(4), 44);
+  EXPECT_EQ(slot_key(p, 1), 9);  // slot 0 holds key 4
+}
+
+TEST(SetContext, LeavesTruncatedAndNonSfcPacketsUntouched) {
+  std::mt19937_64 rng(11);
+  const net::Packet plain = net::Packet::make({});
+  net::Packet p = plain;
+  EXPECT_FALSE(set_context(p, 1, 1));
+  EXPECT_EQ(p, plain);
+
+  // SFC EtherType, but the header is cut short.
+  for (std::size_t cut = 1; cut <= kSfcHeaderSize; ++cut) {
+    const net::Packet full = random_sfc_packet(rng);
+    const auto bytes = full.data().view();
+    const net::Packet truncated(net::Buffer(std::vector<std::byte>(
+        bytes.begin(),
+        bytes.begin() + net::EthernetHeader::kSize + kSfcHeaderSize - cut)));
+    ASSERT_TRUE(truncated.has_sfc_header());
+    net::Packet q = truncated;
+    EXPECT_FALSE(set_context(q, 1, 1));
+    EXPECT_EQ(q, truncated);
+    EXPECT_EQ(q, reference_set(truncated, 1, 1));
+  }
 }
 
 TEST(PortSentinel, UnsetOutPortReportsAbsent) {
